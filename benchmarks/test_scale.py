@@ -9,9 +9,11 @@ run lasts milliseconds, so single-shot timings are noise) and one 2-point
 injection campaign per level, using the same seed-profiled crash points
 at every scale so the campaign legs are comparable.
 
-Campaigns run with ``execution="snapshot"``: at 100x the deterministic
-prefix costs ~a minute to execute, and recording it once per scale group
-instead of once per injection is exactly what the snapshot mode is for.
+Campaigns replay each injection from t=0, one run per point, as every
+campaign does; hang reclassification is off (``classify_timeouts=False``)
+so each leg costs exactly one run per point on top of its baseline.
+Replaying the 100x prefix per point beat forking a recorded prefix at
+every scale measured (DESIGN.md "One replay engine").
 
 The measured numbers go to ``benchmarks/out/BENCH_scale.json`` for the CI
 artifact; the per-event gate is asserted here, so the scale-smoke CI job
@@ -66,12 +68,12 @@ def _measure_run(system, reps=1, config=None):
 
 
 def _measure_campaign(system, analysis, points, config=None):
-    """Wall clock of a small snapshot-mode campaign on one scaled world."""
+    """Wall clock of a small campaign (baseline included) on one scaled world."""
     t0 = time.perf_counter()
     baseline = build_baseline(system, seeds=[0], config=config)
     result = run_campaign(
         system, analysis, points,
-        campaign=CampaignConfig(classify_timeouts=False, execution="snapshot"),
+        campaign=CampaignConfig(classify_timeouts=False),
         baseline=baseline, matcher=matcher_for_system(system.name),
         config=config,
     )

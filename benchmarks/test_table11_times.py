@@ -30,7 +30,6 @@ def test_table11_times(benchmark, table_out):
             points,
             t["workers"],
             speedup(t["test_speedup"]),
-            t["execution"],
             t["point_order"],
             t["point_select"],
             # class/audit counts only exist under representative
@@ -48,7 +47,6 @@ def test_table11_times(benchmark, table_out):
     assert sim["yarn"] > sim["zookeeper"]
     table_out(format_table(
         ["System", "Engine", "Analysis (wall)", "Profile (wall)", "Test (wall)",
-         "Test (sim)", "Dynamic CPs", "Workers", "Speedup", "Execution",
-         "Order", "Select", "Classes", "Audited"], rows,
+         "Test (sim)", "Dynamic CPs", "Workers", "Speedup", "Order", "Select", "Classes", "Audited"], rows,
         title="Table 11: analysis and testing times",
     ))

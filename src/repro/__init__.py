@@ -6,7 +6,8 @@ in :mod:`repro.api` and is re-exported here:
 
 * :func:`repro.crashtuner` — run the tool end-to-end over a system,
 * :class:`repro.CampaignConfig` — campaign knobs, parallel ``workers``,
-  and the checkpoint ``journal_path``,
+  the checkpoint ``journal_path`` and representative point selection
+  (every injection replays its run from t=0, one injection per run),
 * :func:`repro.get_system` / :func:`repro.all_systems` — the systems under
   test (Table 4),
 * :func:`repro.run_workload` — drive one clean or fault-injected run,

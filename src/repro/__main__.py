@@ -40,8 +40,6 @@ def _run_campaign_cmd(argv: List[str]) -> int:
                         help="campaign worker-pool size")
     parser.add_argument("--order", choices=("point", "novelty"),
                         default="point")
-    parser.add_argument("--execution", choices=("replay", "snapshot"),
-                        default="replay")
     parser.add_argument("--select", choices=("full", "representative"),
                         default="full",
                         help="'representative' clusters points into "
@@ -76,7 +74,7 @@ def _run_campaign_cmd(argv: List[str]) -> int:
         return 2
     cfg = CampaignConfig(
         max_points=args.points, seed=args.seed, workers=args.workers,
-        point_order=args.order, execution=args.execution,
+        point_order=args.order,
         point_select=args.select, audit_fraction=args.audit_fraction,
         journal_path=args.journal,
     )

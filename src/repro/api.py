@@ -24,11 +24,12 @@ The supported surface:
   fault-injection phase, over pre-computed dynamic crash points,
 * :class:`CampaignConfig` — the one frozen config object for both
   (oracle knobs, seed, ``workers`` for parallel campaigns,
-  ``journal_path`` for checkpoint/resume, ``execution="snapshot"`` for
-  snapshot-and-resume test runs, ``point_select="representative"`` to
-  cluster points into predicted-behavior equivalence classes and test
+  ``journal_path`` for checkpoint/resume, ``point_select="representative"``
+  to cluster points into predicted-behavior equivalence classes and test
   one per class, with an ``audit_fraction`` verification lane);
-  cross-field combinations are validated at construction,
+  cross-field combinations are validated at construction; there is one
+  execution engine, and each injection replays its own run from t=0,
+
 * :class:`Observability` — opt-in tracing/metrics/diagnoses, passed as
   ``obs=``,
 * :func:`analyze_trace` / :class:`AnalyticsReport` — post-hoc

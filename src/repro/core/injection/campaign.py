@@ -38,8 +38,7 @@ BugMatcherFn = Callable[[RunReport, OracleVerdict], List[str]]
 #: timers, leak auditors) land in the observed logs
 COOLDOWN = 10.0
 
-#: deadline multiplier for re-running flagged hangs (Section 4.1.3) —
-#: shared by the replay rerun and the snapshot mode's resumed rerun
+#: deadline multiplier for re-running flagged hangs (Section 4.1.3)
 EXTENDED_FACTOR = 400.0
 
 
@@ -64,21 +63,14 @@ class CampaignConfig:
             (``None`` tests all).
         seed: RNG seed for every cluster run of the campaign.
         workers: worker processes for the injection phase; ``1`` runs
-            in-process, ``N > 1`` fans points out over a pool (replay) or
-            resumes that many snapshots concurrently (snapshot) and
-            merges results in deterministic point order.
+            in-process, ``N > 1`` fans points out over a pool and merges
+            results in deterministic point order.
         journal_path: when set, a JSONL checkpoint journal of per-point
             outcomes; an interrupted campaign re-run with the same
             journal resumes at the first untested point.
-        execution: how the test phase executes each point.  ``"replay"``
-            re-runs every injection from t=0; ``"snapshot"`` records the
-            deterministic prefix once per scale group and resumes each
-            injection from a fork-based snapshot at its fire instant
-            (outcome-identical, see DESIGN.md).  Falls back to replay
-            where ``fork`` is unavailable.
         force_workers: keep the requested ``workers`` even for campaigns
-            too small to amortize pool startup; by default a replay
-            campaign with fewer than ``workers * 2`` pending points
+            too small to amortize pool startup; by default a campaign
+            with fewer than ``workers * 2`` pending points
             degrades to in-process execution (the realized choice is
             recorded on :class:`CampaignResult`).
         point_order: the order the test phase visits dynamic crash
@@ -121,7 +113,6 @@ class CampaignConfig:
     seed: int = 0
     workers: int = 1
     journal_path: Optional[Union[str, Path]] = None
-    execution: str = "replay"
     force_workers: bool = False
     point_order: str = "point"
     analytics: bool = False
@@ -130,10 +121,6 @@ class CampaignConfig:
     audit_fraction: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.execution not in ("replay", "snapshot"):
-            raise ValueError(
-                f"execution must be 'replay' or 'snapshot', got {self.execution!r}"
-            )
         if self.point_order not in ("point", "novelty"):
             raise ValueError(
                 f"point_order must be 'point' or 'novelty', got {self.point_order!r}"
@@ -198,9 +185,8 @@ class CampaignConfig:
                 raise ValueError(
                     f"journal_path {str(journal)!r} is a directory — the "
                     f"journal is one JSONL file (e.g. "
-                    f"{str(journal / 'campaign.jsonl')!r}); snapshot and "
-                    f"replay campaigns both append per-point outcome lines "
-                    f"to it"
+                    f"{str(journal / 'campaign.jsonl')!r}); a campaign "
+                    f"appends per-point outcome lines to it"
                 )
 
     def replace(self, **overrides: Any) -> "CampaignConfig":
@@ -224,8 +210,20 @@ class CampaignConfig:
         """Rebuild a config from :meth:`to_dict` output.
 
         Unknown keys are rejected (a newer writer's config must not be
-        silently narrowed by an older reader).
+        silently narrowed by an older reader).  The removed ``execution``
+        field is still read from older WAL entries: ``"replay"``, the one
+        engine left, is dropped; ``"snapshot"`` is rejected.
         """
+        data = dict(data)
+        if "execution" in data:
+            execution = data.pop("execution")
+            if execution != "replay":
+                raise ValueError(
+                    f"CampaignConfig.from_dict: execution mode "
+                    f"{execution!r} was removed — every campaign now "
+                    f"replays each injection from t=0; resubmit without "
+                    f"the execution field"
+                )
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -342,15 +340,9 @@ class CampaignResult:
     workers: int = 1
     #: outcomes restored from the journal instead of re-run
     resumed: int = 0
-    #: execution mode the test phase actually used ("replay"|"snapshot"):
-    #: the configured mode unless the platform forced a replay fallback
-    execution: str = "replay"
     #: worker processes actually used, after the small-campaign degrade
     #: rule and any platform fallback (see CampaignConfig.force_workers)
     workers_realized: int = 1
-    #: snapshot-engine statistics (recording runs, resumed/never-fired/
-    #: fallback point counts, kernel manifests) when it ran
-    snapshot_stats: Optional[Dict[str, Any]] = None
     #: the order the test phase visited points (CampaignConfig.point_order)
     point_order: str = "point"
     #: post-hoc failure-mode analytics (an
@@ -593,9 +585,7 @@ def run_campaign(
         metrics=active.metrics.snapshot() if active.enabled else None,
         workers=cfg.workers,
         resumed=report.resumed,
-        execution=report.execution,
         workers_realized=report.workers,
-        snapshot_stats=report.snapshot_stats,
         point_order=cfg.point_order,
         analytics=analytics_report,
         point_select=cfg.point_select,

@@ -208,7 +208,7 @@ class _HookedJournal:
     """A journal facade that also fires the per-checkpoint hook.
 
     Wraps the (possibly absent) :class:`CampaignJournal` so every
-    execution path — sequential, parallel, snapshot — reaches the
+    execution path — sequential, parallel, representative — reaches the
     ``on_outcome`` hook through the one ``record`` call it already makes,
     with the journal line (when there is one) written *before* the hook
     runs: a hook that observes a checkpoint can rely on it being durable.
@@ -278,17 +278,15 @@ def _fork_available() -> bool:
 class ExecutionReport:
     """What the test phase actually did, alongside its ordered outcomes.
 
-    ``workers``/``execution`` are the *realized* choices — after the
-    platform fallback (no ``fork``) and the small-campaign degrade rule —
-    which :func:`~repro.core.injection.campaign.run_campaign` records on
-    the :class:`~repro.core.injection.campaign.CampaignResult`.
+    ``workers`` is the *realized* choice — after the platform fallback
+    (no ``fork``) and the small-campaign degrade rule — which
+    :func:`~repro.core.injection.campaign.run_campaign` records on the
+    :class:`~repro.core.injection.campaign.CampaignResult`.
     """
 
     outcomes: List[InjectionOutcome]
     resumed: int
     workers: int
-    execution: str
-    snapshot_stats: Optional[Dict[str, Any]] = None
     #: representative-execution statistics (classes, executed, audited,
     #: promoted, propagated) when ``point_select="representative"`` ran
     class_stats: Optional[Dict[str, Any]] = None
@@ -327,18 +325,15 @@ def execute_points(
     pending = [i for i in range(len(points)) if i not in loaded]
 
     workers = cfg.workers
-    execution = cfg.execution
-    if (workers > 1 or execution == "snapshot") and not _fork_available():
+    if workers > 1 and not _fork_available():
         warnings.warn(
-            "parallel and snapshot campaigns need the 'fork' start method, "
-            "which this platform lacks; replaying sequentially",
+            "parallel campaigns need the 'fork' start method, which this "
+            "platform lacks; running sequentially",
             RuntimeWarning,
         )
         workers = 1
-        execution = "replay"
     if (
-        execution == "replay"
-        and workers > 1
+        workers > 1
         and not cfg.force_workers
         and cfg.point_select == "full"
         and len(pending) < workers * 2
@@ -349,19 +344,10 @@ def execute_points(
         # Representative campaigns apply the same rule per round instead
         # (their executed subset, not `pending`, is what the pool sees).
         workers = 1
-    snapshot_stats: Optional[Dict[str, Any]] = None
     class_stats: Optional[Dict[str, Any]] = None
     try:
         if cfg.point_select == "representative":
-            outcomes, class_stats, snapshot_stats, workers = _run_representative(
-                system, analysis, points, baseline, matcher, cfg, config,
-                active, campaign_span, loaded, pending, journal, workers,
-                execution,
-            )
-        elif execution == "snapshot" and pending:
-            from repro.core.injection.snapshot import run_snapshot
-
-            outcomes, snapshot_stats = run_snapshot(
+            outcomes, class_stats, workers = _run_representative(
                 system, analysis, points, baseline, matcher, cfg, config,
                 active, campaign_span, loaded, pending, journal, workers,
             )
@@ -383,8 +369,6 @@ def execute_points(
         outcomes=outcomes,
         resumed=len(loaded),
         workers=workers,
-        execution=execution,
-        snapshot_stats=snapshot_stats,
         class_stats=class_stats,
     )
 
@@ -584,9 +568,7 @@ def _run_representative(
     pending: List[int],
     journal: Optional[Any],
     workers: int,
-    execution: str,
-) -> Tuple[List[InjectionOutcome], Dict[str, Any],
-           Optional[Dict[str, Any]], int]:
+) -> Tuple[List[InjectionOutcome], Dict[str, Any], int]:
     """Execute one representative per equivalence class, audit a sample.
 
     Round 1 runs every class representative plus the global audit draw;
@@ -601,60 +583,36 @@ def _run_representative(
     pending_set = set(pending)
     results: Dict[int, InjectionOutcome] = {}
     n0 = len(active.diagnoses) if active.enabled else 0
-    snapshot_stats: Optional[Dict[str, Any]] = None
     realized = 1
 
     def outcome_of(index: int) -> InjectionOutcome:
         return results[index] if index in results else loaded[index]
 
     def run_round(indices: List[int]) -> None:
-        nonlocal realized, snapshot_stats
+        nonlocal realized
         indices = [i for i in indices if i in pending_set and i not in results]
         if not indices:
             return
         subset = [points[i] for i in indices]
         facade = _SubsetJournal(journal, indices, plan.class_of)
-        if execution == "snapshot":
-            from repro.core.injection.snapshot import run_snapshot
-
-            outcomes, stats = run_snapshot(
-                system, analysis, subset, baseline, matcher, cfg, config,
-                active, campaign_span, {}, list(range(len(subset))),
-                facade, workers,
+        round_workers = workers
+        if (round_workers > 1 and not cfg.force_workers
+                and len(subset) < round_workers * 2):
+            # same small-campaign degrade rule as full mode, applied
+            # to what this round actually feeds the pool
+            round_workers = 1
+        if round_workers > 1 and len(subset) > 1:
+            outcomes = _run_parallel(
+                system, analysis, subset, baseline, matcher, cfg,
+                config, active, campaign_span, {},
+                list(range(len(subset))), facade, round_workers,
             )
-            # fold per-round stats; manifests re-keyed to true indices
-            stats["manifests"] = {
-                str(indices[int(local)]): manifest
-                for local, manifest in stats["manifests"].items()
-            }
-            if snapshot_stats is None:
-                snapshot_stats = stats
-            else:
-                for key, value in stats.items():
-                    if key == "manifests":
-                        snapshot_stats["manifests"].update(value)
-                    else:
-                        snapshot_stats[key] += value
-            realized = max(realized, workers)
+            realized = max(realized, round_workers)
         else:
-            round_workers = workers
-            if (round_workers > 1 and not cfg.force_workers
-                    and len(subset) < round_workers * 2):
-                # same small-campaign degrade rule as full mode, applied
-                # to what this round actually feeds the pool
-                round_workers = 1
-            if round_workers > 1 and len(subset) > 1:
-                outcomes = _run_parallel(
-                    system, analysis, subset, baseline, matcher, cfg,
-                    config, active, campaign_span, {},
-                    list(range(len(subset))), facade, round_workers,
-                )
-                realized = max(realized, round_workers)
-            else:
-                outcomes = _run_sequential(
-                    system, analysis, subset, baseline, matcher, cfg,
-                    config, active, {}, facade,
-                )
+            outcomes = _run_sequential(
+                system, analysis, subset, baseline, matcher, cfg,
+                config, active, {}, facade,
+            )
         for local, true_index in enumerate(indices):
             results[true_index] = outcomes[local]
 
@@ -723,4 +681,4 @@ def _run_representative(
             metrics.gauge("campaign.class_purity").set(
                 1.0 - len(promoted) / len(plan.classes)
             )
-    return outcomes, class_stats, snapshot_stats, realized
+    return outcomes, class_stats, realized

@@ -46,9 +46,8 @@ class OnlineMetaStore:
     keyed on the normalized value — ``hosts`` is construction-fixed, so
     the filter is a pure function of the value and heavy-traffic runs
     that re-log the same ids by the thousand resolve them with one dict
-    probe.  ``value_node`` starts as a plain dict (seed-scale checkpoint
-    dicts stay byte-identical to the pre-sharding kernel) and converts to
-    a :class:`ShardedValueMap` past :data:`SHARD_THRESHOLD` entries.
+    probe.  ``value_node`` starts as a plain dict and converts to a
+    :class:`ShardedValueMap` past :data:`SHARD_THRESHOLD` entries.
     """
 
     #: entry count past which ``value_node`` converts to the sharded map
@@ -108,31 +107,6 @@ class OnlineMetaStore:
 
     def size(self) -> int:
         return len(self.value_node)
-
-    # Checkpointing -------------------------------------------------------
-    def checkpoint(self) -> dict:
-        """Capture the store contents (hosts are construction-fixed).
-
-        Always exports a flat dict, whatever the live representation —
-        checkpoint content must not depend on shard placement.
-        """
-        return {
-            "node_set": set(self.node_set),
-            "value_node": dict(self.value_node),
-        }
-
-    def restore(self, checkpoint: dict) -> None:
-        """Reinstall contents captured with :meth:`checkpoint`.
-
-        The host-filter memo survives: it is a pure function of the
-        construction-fixed hosts, not of store contents.
-        """
-        self.node_set = set(checkpoint["node_set"])
-        flat = dict(checkpoint["value_node"])
-        self.value_node = (
-            ShardedValueMap.from_flat(flat)
-            if len(flat) > self.SHARD_THRESHOLD else flat
-        )
 
 
 class OnlineLogAgent:

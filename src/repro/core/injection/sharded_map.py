@@ -13,14 +13,13 @@ Mapping semantics are exactly a flat dict's: shard placement is an
 internal detail and never affects lookups, membership, or equality
 (:class:`~collections.abc.MutableMapping` compares by content).  The one
 visible difference is iteration order — shard-by-shard insertion order
-rather than global insertion order — which is why the store exports
-checkpoints as flat dicts and why order-sensitive consumers must sort
-(they already did: dict order was never part of the store's contract).
+rather than global insertion order — which is why order-sensitive
+consumers must sort (they already did: dict order was never part of the
+store's contract).
 
 The store keeps a plain dict below
 :data:`~repro.core.injection.online_log.OnlineMetaStore.SHARD_THRESHOLD`
-entries, so seed-scale runs never pay the indirection and their
-checkpoint dicts remain byte-identical to the pre-sharding kernel.
+entries, so seed-scale runs never pay the indirection.
 """
 
 from __future__ import annotations

@@ -59,6 +59,10 @@ class Trigger:
         self._installed = True
 
     def uninstall(self) -> None:
+        """Take the hook off the bus; a no-op once it is off."""
+        self._unhook()
+
+    def _unhook(self) -> None:
         if self._installed:
             BUS.remove_hook(self._hook)
             self._installed = False
@@ -72,16 +76,16 @@ class Trigger:
     def _hook(self, event: AccessEvent) -> None:
         if self.fired or not self._matches(event):
             return
-        self.fire(event)
+        try:
+            self.fire(event)
+        finally:
+            # each point fires once (a crash of the executing node unwinds
+            # through here): with the hook gone, the rest of the run pays no
+            # frame walk or stack capture per tracked access
+            self._unhook()
 
     def fire(self, event: AccessEvent) -> None:
-        """Perform the injection for a matching access event.
-
-        Split out of the hook so the snapshot execution mode can fire an
-        armed point against a restored world at exactly the captured
-        access event, bypassing the matching that already happened during
-        the recording pass.
-        """
+        """Perform the injection for a matching access event."""
         self.hits += 1
         self.fired = True  # each dynamic crash point is exercised once
         values = list(event.values)

@@ -57,9 +57,6 @@ class CrashTunerResult:
         ``workers`` and ``test_speedup`` report how the test phase was
         parallelized — speedup is the summed per-run wall time over the
         campaign's wall time, i.e. the realized parallelism.
-        ``execution`` is the mode the test phase actually ran under
-        (``replay`` re-runs every prefix; ``snapshot`` resumes each
-        injection from a fork at its fire instant).
         """
         row = {
             "analysis_mode": "engine" if self.analysis.engine_used else "single-shot",
@@ -69,7 +66,6 @@ class CrashTunerResult:
             "test_sim_s": self.campaign.sim_seconds if self.campaign else 0.0,
             "workers": self.campaign.workers if self.campaign else 1,
             "test_speedup": self.campaign.speedup if self.campaign else 0.0,
-            "execution": self.campaign.execution if self.campaign else "replay",
             "point_order": self.campaign.point_order if self.campaign else "point",
             "point_select": self.campaign.point_select if self.campaign else "full",
         }

@@ -39,9 +39,6 @@ class SpillingNodeIndex:
     def counts(self) -> Dict[str, int]:
         return dict(self._counts)
 
-    def restore_counts(self, counts: Dict[str, int]) -> None:
-        self._counts = {n: c for n, c in counts.items() if c}
-
     def __getitem__(self, node: str) -> List[LogRecord]:
         if node not in self._counts:
             raise KeyError(node)
@@ -92,53 +89,6 @@ class LogCollector:
     def subscribe(self, subscriber: Subscriber) -> None:
         """Attach a live tail (e.g. the online log analysis agent)."""
         self._subscribers.append(subscriber)
-
-    def unsubscribe(self, subscriber: Subscriber) -> None:
-        self._subscribers.remove(subscriber)
-
-    # ------------------------------------------------------------------
-    # checkpoint / restore
-    # ------------------------------------------------------------------
-    def checkpoint(self) -> dict:
-        """Capture the collector's position in its append-only streams.
-
-        Streams only ever grow (records are appended, never edited), so a
-        checkpoint stores lengths plus the subscriber list; restoring
-        truncates back to those lengths.  Only valid against the same
-        collector the checkpoint was taken from.
-        """
-        if self._spilling:
-            by_node = self.by_node.counts()
-        else:
-            by_node = {node: len(recs) for node, recs in self.by_node.items()}
-        return {
-            "records": len(self.records),
-            "by_node": by_node,
-            "subscribers": list(self._subscribers),
-            "errors": len(self.subscriber_errors),
-        }
-
-    def restore(self, checkpoint: dict) -> None:
-        """Truncate streams back to a checkpoint of this collector.
-
-        In spill mode a truncation reaching the spilled region un-spills
-        the partial chunk back into memory (see
-        :meth:`SpillingRecordStream.truncate`).
-        """
-        if self._spilling:
-            self.records.truncate(checkpoint["records"])
-            self.by_node.restore_counts(checkpoint["by_node"])
-        else:
-            del self.records[checkpoint["records"]:]
-            lengths = checkpoint["by_node"]
-            for node in list(self.by_node):
-                keep = lengths.get(node, 0)
-                if keep:
-                    del self.by_node[node][keep:]
-                else:
-                    del self.by_node[node]
-        self._subscribers = list(checkpoint["subscribers"])
-        del self.subscriber_errors[checkpoint["errors"]:]
 
     # ------------------------------------------------------------------
     # query helpers used by oracles and tests.  Records render their

@@ -9,16 +9,14 @@ oracles and analytics iterate ``collector.records`` exactly as before and
 see equal records (:meth:`LogRecord.to_dict` round-trips the identity
 tuple; the lazily-rendered message re-renders deterministically).
 
-Fork safety (snapshot execution forks whole worlds, spill files and all):
+Fork safety (a forked child may inherit a live stream, spill files and
+all):
 
-* chunk file names embed the writing pid, so resumer children that keep
-  logging after the fork never clobber each other's — or the recorder's —
-  chunks;
+* chunk file names embed the writing pid, so a child that keeps logging
+  after the fork never clobbers its siblings' — or its parent's — chunks;
 * the spill directory is removed by a finalizer that only acts in the
   process that created it, so a child's exit never deletes chunks its
-  siblings still replay;
-* truncation (checkpoint restore) only unlinks chunk files it wrote in
-  this process; chunks inherited through fork are merely forgotten.
+  parent still replays.
 """
 
 from __future__ import annotations
@@ -128,42 +126,6 @@ class SpillingRecordStream:
         chunk_no = bisect_right(self._offsets, index)
         base = self._offsets[chunk_no - 1] if chunk_no else 0
         return self._chunk_records(chunk_no)[index - base]
-
-    # ------------------------------------------------------------------
-    # truncation (checkpoint restore)
-    # ------------------------------------------------------------------
-    def truncate(self, keep: int) -> None:
-        """Drop every record past position ``keep``.
-
-        Truncating into the spilled region un-spills: the partial chunk
-        reloads into the in-memory window (chunks are bounded, so the
-        window stays bounded) and the dropped chunks' files — those
-        written by this process — are unlinked.
-        """
-        if keep >= len(self):
-            return
-        if keep >= self._spilled:
-            del self._window[keep - self._spilled:]
-            return
-        chunk_no = bisect_right(self._offsets, keep)
-        if chunk_no and self._offsets[chunk_no - 1] == keep:
-            base = keep
-            partial: List[LogRecord] = []
-        else:
-            base = self._offsets[chunk_no - 1] if chunk_no else 0
-            partial = self._chunk_records(chunk_no)[:keep - base]
-        pid_tag = f"chunk-{os.getpid()}-"
-        for path, _count in self._chunks[chunk_no:]:
-            if path.name.startswith(pid_tag):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-        del self._chunks[chunk_no:]
-        del self._offsets[chunk_no:]
-        self._spilled = base
-        self._window = partial
-        self._cached = None
 
     # ------------------------------------------------------------------
     # diagnostics

@@ -238,8 +238,7 @@ def span_shapes(
     featurized, since the final verdict came from it.
 
     When the arithmetic does not add up — a resumed campaign whose spans
-    died with the interrupted process, a snapshot-mode trace whose
-    recording passes are shared, a hand-built trace — span features are
+    died with the interrupted process, a hand-built trace — span features are
     dropped for the whole trace rather than misattributed, and the
     analytics report says so.
     """

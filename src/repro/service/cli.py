@@ -74,7 +74,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         max_points=args.points,
         seed=args.seed,
         workers=args.campaign_workers,
-        execution=args.execution,
         point_order=args.order,
         point_select=args.select,
         audit_fraction=args.audit_fraction,
@@ -225,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--seed", type=int, default=0)
     submit.add_argument("--campaign-workers", type=int, default=1,
                         help="CampaignConfig.workers inside the job")
-    submit.add_argument("--execution", choices=("replay", "snapshot"),
-                        default="replay")
     submit.add_argument("--order", choices=("point", "novelty"),
                         default="point")
     submit.add_argument("--select", choices=("full", "representative"),

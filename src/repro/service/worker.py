@@ -66,7 +66,6 @@ def build_result(spec: JobSpec, result: CampaignResult,
         "first_detection": result.first_detection(),
         "sim_seconds": result.sim_seconds,
         "wall_seconds": result.wall_seconds,
-        "execution": result.execution,
         "workers_realized": result.workers_realized,
         "point_order": result.point_order,
         "point_select": result.point_select,

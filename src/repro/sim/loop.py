@@ -34,8 +34,7 @@ three structures that together form one totally-ordered queue.
   drivers pop the full run of events sharing the earliest timestamp in one
   refill, then fire from the batch with no per-event tail-vs-heap
   comparison.  The batch is loop state (not a ``run()`` local) so the
-  reentrant :meth:`pump` — and checkpoints taken mid-handler — see the
-  not-yet-fired members.
+  reentrant :meth:`pump` sees the not-yet-fired members.
 
 Cancelled events are tombstones: they stay in place and are skipped when
 they surface.  Each loop counts its tombstones (events notify the loop via
@@ -65,7 +64,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import NodeCrashedError, SimulationError
@@ -75,46 +73,6 @@ from repro.sim.events import Event
 # Type of the hook invoked when a callback raises a non-crash exception.
 # Receives (event, exception); returns True if the exception was consumed.
 ExceptionHandler = Callable[[Event, BaseException], bool]
-
-
-@dataclass(frozen=True)
-class LoopCheckpoint:
-    """Frozen kernel state of a :class:`SimLoop` at one instant.
-
-    Holds the clock, the processed-event counter, and a detached clone of
-    every pending event (callback references shared, mutable flags copied
-    — see :meth:`Event.clone`).  The events tuple concatenates the loop's
-    batch, tail, and heap segments; it is not itself heap-ordered, and
-    :meth:`SimLoop.restore` re-heapifies.  The checkpoint itself is never
-    mutated by :meth:`SimLoop.restore`, so one checkpoint supports any
-    number of restores.
-
-    Scope note (the snapshot execution mode's determinism argument, see
-    DESIGN.md): a checkpoint restores the *kernel's* state exactly, but
-    queued callbacks are closures over live system objects — restoring
-    the queue into a world whose node state has moved on does not rewind
-    those objects.  In-process restore is therefore sound for kernel
-    workloads (pure callbacks, or callers that restore the referenced
-    state alongside); the injection campaign's snapshot mode snapshots
-    whole worlds by forking the process instead, and uses checkpoints as
-    integrity manifests of what each snapshot contained.
-    """
-
-    now: float
-    events_processed: int
-    events: tuple  # Tuple[Event, ...], pending clones (any order)
-
-    def pending(self) -> int:
-        """Live (non-cancelled) events captured in this checkpoint."""
-        return sum(1 for e in self.events if not e.cancelled)
-
-    def manifest(self) -> Dict[str, Any]:
-        """A small JSON-able identity of the checkpointed kernel state."""
-        return {
-            "time": self.now,
-            "events_processed": self.events_processed,
-            "pending_events": self.pending(),
-        }
 
 
 class SimLoop:
@@ -144,9 +102,7 @@ class SimLoop:
         self._now = 0.0
         self._events_processed = 0
         self._pump_depth = 0
-        self._in_handler = 0
         self._stopped = False
-        self._deadline_override: Optional[float] = None
         self.exception_handler: Optional[ExceptionHandler] = None
         #: observability sink; Cluster installs the ambient context here.
         #: Observation must never schedule events or consume RNG — the
@@ -155,8 +111,7 @@ class SimLoop:
         # Per-kind telemetry cache for _fire: instrument handles are
         # resolved once per (observability context, event kind) instead of
         # formatting f"sim.events.{kind}" and walking the registry on
-        # every event.  Rebuilt whenever the installed context changes;
-        # purely derived state, so checkpoint/restore ignores it.
+        # every event.  Rebuilt whenever the installed context changes.
         self._telemetry_obs: Optional[Observability] = None
         self._kind_counters: Dict[str, Any] = {}
         self._events_counter: Any = None
@@ -267,21 +222,6 @@ class SimLoop:
         """Ask the outermost :meth:`run` to return after the current event."""
         self._stopped = True
 
-    def override_deadline(self, until: Optional[float]) -> None:
-        """Replace the ``until`` deadline of the :meth:`run` in flight.
-
-        Consumed once, by the innermost :meth:`run` currently driving (or
-        the next one started, if none is): from the next event boundary
-        that run behaves exactly as if it had been called with this
-        deadline.  An override not consumed by the time its run returns is
-        discarded — it must never leak into a subsequent run (e.g. the
-        post-workload cooldown drive).  The snapshot execution mode uses
-        this to resume an injection from mid-run with an extended
-        hang-classification deadline, which a fresh replay would have
-        passed as ``until``.
-        """
-        self._deadline_override = until
-
     # ------------------------------------------------------------------
     # tombstone accounting and compaction
     # ------------------------------------------------------------------
@@ -391,57 +331,6 @@ class SimLoop:
                 heapq.heappush(queue, (e.time, e.seq, e))
 
     # ------------------------------------------------------------------
-    # checkpoint / restore (kernel state only — see LoopCheckpoint)
-    # ------------------------------------------------------------------
-    def checkpoint(self) -> LoopCheckpoint:
-        """Capture clock, counters, and a detached clone of the queue."""
-        return LoopCheckpoint(
-            now=self._now,
-            events_processed=self._events_processed,
-            events=tuple(
-                e.clone()
-                for e in itertools.chain(
-                    self._batch, self._tail,
-                    (entry[2] for entry in self._queue),
-                )
-            ),
-        )
-
-    def restore(self, checkpoint: LoopCheckpoint) -> None:
-        """Reinstall a checkpoint taken from this (or an equivalent) loop.
-
-        The queue is re-cloned from the checkpoint so the checkpoint
-        stays pristine for further restores; clock and processed-event
-        counter rewind to the captured values.  Must not be called from
-        inside a running handler.
-        """
-        if self._pump_depth or self._in_handler:
-            raise SimulationError("cannot restore inside a running handler")
-        entries: List[Tuple[float, int, Event]] = []
-        owned: Dict[str, List[Event]] = {}
-        tombstones = 0
-        for cp_event in checkpoint.events:
-            e = cp_event.clone()
-            e._loop = self
-            e._in_loop = True
-            if e._cancelled:
-                tombstones += 1
-            if e.owner is not None:
-                owned.setdefault(e.owner, []).append(e)
-            entries.append((e.time, e.seq, e))
-        heapq.heapify(entries)
-        self._queue = entries
-        self._tail = deque()
-        self._batch = deque()
-        self._owned = owned
-        self._owned_limit = {}
-        self._tombstones = tombstones
-        self._now = checkpoint.now
-        self._events_processed = checkpoint.events_processed
-        self._stopped = False
-        self._deadline_override = None
-
-    # ------------------------------------------------------------------
     # driving
     # ------------------------------------------------------------------
     def run(
@@ -468,12 +357,6 @@ class SimLoop:
             while not self._stopped:
                 if not batch and not self._queue and not self._tail:
                     break
-                if self._deadline_override is not None:
-                    # consumed by the innermost run in flight (see
-                    # override_deadline): from here on this run behaves as
-                    # if it had been called with the overriding deadline
-                    until = self._deadline_override
-                    self._deadline_override = None
                 if not batch and not self._refill_batch():
                     break
                 event = batch[0]
@@ -504,10 +387,6 @@ class SimLoop:
                 self._now = until
         finally:
             self._flush_batch()
-            # an override aimed at this run but set too late to be consumed
-            # (the run ended at that very event) must not leak into the
-            # next run
-            self._deadline_override = None
 
     def pump(self, duration: float, max_events: int = 200_000) -> None:
         """Reentrantly process events for ``duration`` simulated seconds.
@@ -578,7 +457,6 @@ class SimLoop:
             self._queue_depth_histogram.observe(
                 len(self._queue) + len(self._tail) + len(self._batch)
             )
-        self._in_handler += 1
         try:
             event.callback()
         except NodeCrashedError:
@@ -590,5 +468,3 @@ class SimLoop:
                 handled = self.exception_handler(event, exc)
             if not handled:
                 raise
-        finally:
-            self._in_handler -= 1

@@ -76,9 +76,9 @@ class DataNode(Node):
         service = self.bpos
         if service is None:
             return
-        # BUG:HDFS-14372 — the unpatched shutdown path reports using
-        # registration info that does not exist before the register ack.
-        if self.cluster.is_patched("HDFS-14372") and not service.registered:
+        # BUG:HDFS-14372 — shutdown reports with registration info that only
+        # exists once the register ack wrote it (a pre-read may land mid-ack).
+        if self.cluster.is_patched("HDFS-14372") and service.registration_info is None:
             LOG.info("Skipping block-pool report for unregistered {}", service)
             return
         final_report = service.registration_info.upper()  # AttributeError pre-register

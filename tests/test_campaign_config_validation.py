@@ -15,7 +15,7 @@ from repro.core.injection import CampaignConfig
 # single-field domains
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("kwargs, fragment", [
-    ({"execution": "teleport"}, "execution"),
+    ({"audit_fraction": -0.1}, "audit_fraction"),
     ({"point_order": "random"}, "point_order"),
     ({"workers": 0}, "workers"),
     ({"workers": -2}, "workers"),
@@ -62,7 +62,7 @@ def test_to_dict_from_dict_roundtrip(tmp_path):
     cfg = CampaignConfig(
         wait=2.5, random_fallback=True, classify_timeouts=False,
         max_points=7, seed=42, workers=3,
-        journal_path=str(tmp_path / "j.jsonl"), execution="snapshot",
+        journal_path=str(tmp_path / "j.jsonl"),
         force_workers=True, point_order="novelty", analytics=True,
     )
     rebuilt = CampaignConfig.from_dict(cfg.to_dict())
@@ -76,6 +76,29 @@ def test_from_dict_rejects_unknown_keys():
     data = CampaignConfig().to_dict()
     data["warp_speed"] = True
     with pytest.raises(ValueError, match="warp_speed"):
+        CampaignConfig.from_dict(data)
+
+
+def test_execution_field_is_gone():
+    # one engine is left: the old knob is no longer a field
+    with pytest.raises(TypeError, match="execution"):
+        CampaignConfig(execution="replay")
+    assert "execution" not in CampaignConfig().to_dict()
+
+
+def test_from_dict_drops_legacy_replay_execution():
+    # WAL entries written before the field was removed still rehydrate:
+    # "replay" is what every campaign does now
+    data = CampaignConfig(seed=3, max_points=5).to_dict()
+    data["execution"] = "replay"
+    assert CampaignConfig.from_dict(data) == CampaignConfig(seed=3, max_points=5)
+    assert data["execution"] == "replay"  # the caller's dict is not mutated
+
+
+def test_from_dict_rejects_legacy_snapshot_execution():
+    data = CampaignConfig().to_dict()
+    data["execution"] = "snapshot"
+    with pytest.raises(ValueError, match="snapshot.*removed"):
         CampaignConfig.from_dict(data)
 
 

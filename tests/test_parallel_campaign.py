@@ -6,7 +6,9 @@ the same (point) order, same matched bugs, same merged metrics, same
 re-stitched trace, same diagnoses — with only wall-clock times allowed to
 differ.  Plus the journal: a campaign killed mid-run resumes from its
 ``journal_path`` without re-running completed points, and a journal
-written under a different campaign identity is refused.
+written under a different campaign identity is refused.  And the
+small-campaign degrade rule: a campaign with fewer than ``workers * 2``
+pending points runs in-process unless ``force_workers`` pins the pool.
 """
 
 import json
@@ -151,6 +153,18 @@ def test_journal_refuses_mismatched_campaign(tmp_path):
 # ----------------------------------------------------------------------
 # the PR-2 deprecation shims are gone: old loose kwargs are a TypeError
 # ----------------------------------------------------------------------
+
+def test_small_replay_campaign_degrades_to_in_process():
+    # 4 points < workers * 2: pool startup would dominate (Table 11's
+    # zookeeper/cassandra rows), so the campaign runs in-process...
+    degraded = _campaign(4, n_points=4)
+    assert degraded.workers == 4  # the *requested* pool size is kept
+    assert degraded.workers_realized == 1
+    # ...unless the caller explicitly pins the pool
+    forced = _campaign(4, n_points=4, force_workers=True)
+    assert forced.workers_realized == 4
+    assert _outcome_dicts(forced) == _outcome_dicts(degraded)
+
 
 def test_legacy_kwargs_raise_type_error():
     system, analysis, profile, baseline = prepared("yarn")

@@ -2,12 +2,10 @@
 
 The contract under test: a collector constructed with ``spill_threshold``
 is observationally identical to the in-memory collector — same records in
-the same order, same oracle-helper results, same checkpoint/restore
-semantics — while holding at most a bounded window of records in memory.
+the same order, same oracle-helper results — while holding at most a bounded window of records in memory.
 """
 
 import json
-import os
 
 import pytest
 
@@ -66,37 +64,6 @@ def test_stream_spills_and_replays_in_order(tmp_path):
     assert stats["chunks"] == 6
 
 
-def test_stream_truncate_window_chunk_boundary_and_midchunk(tmp_path):
-    def build():
-        s = SpillingRecordStream(10, str(tmp_path / "t"))
-        for i in range(35):
-            s.append(_record(i))
-        return s
-
-    records = [_record(i) for i in range(35)]
-    # window-only truncation
-    s = build()
-    s.truncate(32)
-    assert list(s) == records[:32] and s.spilled == 30
-    # mid-chunk: un-spills the partial chunk back into the window
-    s.truncate(13)
-    assert list(s) == records[:13]
-    assert s.spilled == 10 and len(s._window) == 3
-    # chunk boundary exactly
-    s.truncate(10)
-    assert list(s) == records[:10] and s.spilled == 10
-    # keep growing after a truncation — no id collisions, order preserved
-    for i in range(100, 110):
-        s.append(_record(i))
-    assert list(s) == records[:10] + [_record(i) for i in range(100, 110)]
-    # truncate to zero drops everything and unlinks this pid's files
-    s.truncate(0)
-    assert len(s) == 0 and list(s) == []
-    own = [p for p in (tmp_path / "t").iterdir()
-           if p.name.startswith(f"chunk-{os.getpid()}-")]
-    assert own == []
-
-
 def test_stream_rejects_degenerate_threshold():
     with pytest.raises(ValueError):
         SpillingRecordStream(1)
@@ -127,29 +94,6 @@ def test_spilling_collector_matches_in_memory_collector(tmp_path):
         assert spilling.by_node[node] == plain.by_node[node]
     with pytest.raises(KeyError):
         spilling.by_node["absent"]
-
-
-def test_spilling_collector_checkpoint_restore(tmp_path):
-    collector = LogCollector(spill_threshold=6, spill_dir=str(tmp_path))
-    seen = []
-    collector.subscribe(seen.append)
-    for i in range(20):
-        collector.collect(_record(i))
-    cp = collector.checkpoint()
-    late = lambda r: None  # noqa: E731
-    collector.subscribe(late)
-    for i in range(20, 40):
-        collector.collect(_record(i))
-    assert len(collector) == 40 and len(seen) == 40
-    collector.restore(cp)
-    assert len(collector) == 20
-    assert list(collector.records) == [_record(i) for i in range(20)]
-    assert collector.by_node.counts() == {"node1": 20}
-    assert late not in collector._subscribers
-    # the collector keeps working after restore
-    collector.collect(_record(99))
-    assert collector.records[-1] == _record(99)
-    assert len(seen) == 41
 
 
 def test_subscriber_isolation_unchanged_in_spill_mode(tmp_path):

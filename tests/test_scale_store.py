@@ -50,11 +50,10 @@ class _UncachedStore(OnlineMetaStore):
         return _naive_host_in_value(value, self.hosts)
 
 
-def _checkpoint_bytes(store):
-    cp = store.checkpoint()
+def _contents_bytes(store):
     return json.dumps(
-        {"node_set": sorted(cp["node_set"]),
-         "value_node": dict(sorted(cp["value_node"].items()))},
+        {"node_set": sorted(store.node_set),
+         "value_node": dict(sorted(dict(store.value_node).items()))},
         sort_keys=True,
     )
 
@@ -77,7 +76,7 @@ def test_memoized_store_byte_identical_to_uncached_on_real_yarn_run():
 
     run_workload(system, seed=7, before_run=before_run)
     assert memoized.size() > 0, "the run must actually exercise the store"
-    assert _checkpoint_bytes(memoized) == _checkpoint_bytes(reference)
+    assert _contents_bytes(memoized) == _contents_bytes(reference)
     # the memo actually engaged, and resolves every seen value identically
     assert memoized._host_cache
     for value in list(memoized.value_node) + sorted(memoized.node_set):
@@ -197,13 +196,7 @@ def test_store_migrates_to_sharded_past_threshold(monkeypatch):
     assert isinstance(store.value_node, ShardedValueMap)
     assert store.query("value_3") == "node1"
     assert store.size() == 21  # 20 values + the node value itself
-    # checkpoints export flat dicts whatever the live representation
-    cp = store.checkpoint()
-    assert type(cp["value_node"]) is dict and len(cp["value_node"]) == 21
-    fresh = OnlineMetaStore(_HOSTS)
-    fresh.restore(cp)
-    assert isinstance(fresh.value_node, ShardedValueMap)
-    assert dict(fresh.value_node) == dict(store.value_node)
-    small = OnlineMetaStore(_HOSTS)
-    small.restore({"node_set": set(), "value_node": {"v": "node1"}})
-    assert type(small.value_node) is dict  # below threshold stays flat
+    # the contents read out as a flat dict whatever the live representation
+    flat = dict(store.value_node)
+    assert type(flat) is dict and len(flat) == 21
+    assert flat["value_3"] == "node1"

@@ -1,6 +1,9 @@
 """Integration tests for the miniature HDFS."""
 
-from repro.bugs import seeded_bugs
+import pytest
+
+from repro.api import CampaignConfig, crashtuner
+from repro.bugs import all_patched_config, seeded_bugs
 from repro.systems import get_system, run_workload
 from tests.conftest import find_dpoints, inject_at, prepared
 
@@ -80,6 +83,17 @@ def test_hdfs_14372_patched_datanode_stops_cleanly():
                         config=ALL_HDFS_PATCHED)
     assert "HDFS-14372" not in outcome.matched_bugs
     assert not outcome.verdict.uncommon_exceptions
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_all_patched_campaign_detects_no_bug(seed):
+    # the patched HDFS-14372 shutdown path must hold even when the pre-read
+    # shutdown lands between the register ack's `registered` and
+    # `registration_info` writes
+    result = crashtuner(get_system("hdfs"), campaign=CampaignConfig(seed=seed),
+                        config=all_patched_config())
+    assert result.campaign.outcomes, "the campaign must test some points"
+    assert result.detected_bugs() == {}
 
 
 def test_hdfs_6231_replication_monitor_aborts_namenode():
