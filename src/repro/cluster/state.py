@@ -16,14 +16,22 @@ which gives exactly the same two observation channels:
   annotations, so the AST analysis (``repro.core.analysis``) can read field
   types and find access sites, just as WALA reads JVM types and getField /
   putField instructions;
-* the **dynamic** channel — every access emits an :class:`AccessEvent` on
-  the global :class:`AccessBus` (when enabled), carrying the access site's
-  source location, a bounded call stack, the executing node, and the
-  stringified runtime values involved.  Pre-read hooks run *before* the
-  value is (re-)read; post-write hooks run *after* the store.
+* the **dynamic** channel — an access some bus hook can match emits an
+  :class:`AccessEvent` on the global :class:`AccessBus`, carrying the
+  access site's source location, a bounded call stack, the executing node,
+  and the stringified runtime values involved.  Pre-read hooks run
+  *before* the value is (re-)read; post-write hooks run *after* the store.
 
-The bus is off by default; a plain workload run pays one boolean check per
-access.  The profiler and the injection trigger enable it.
+Each tracked field has one :class:`Tap`, shared by its descriptor and its
+containers, with one switch per operation.  A hook subscribes with an
+:class:`Interest` — the (field, op) pairs and access sites it can match —
+and the bus opens exactly the taps some hook needs.  Every access tests
+its own tap and builds nothing while it is closed; an open tap's access
+locates its site and returns before the stack walk when no hook can match
+it there.  With no hook (a plain workload run, or an injection run after
+its trigger fired) every tap is closed.  The profiler and the injection
+trigger subscribe to their crash points; a hook without an interest sees
+every access.
 
 Important honesty note: tracking a field does **not** make it meta-info.
 The systems also track plenty of non-meta-info state (metrics, queues of
@@ -35,7 +43,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro import runtime
 
@@ -67,7 +75,7 @@ def _is_substrate_module(module: str) -> bool:
 
 
 # Per-callsite memoization for the frame walk below, which runs for every
-# access event the bus emits (the profiler's hottest path).  A frame's
+# access through an open tap (the profiler's hottest path).  A frame's
 # module is constant per code object, and its line is constant per
 # (code object, instruction offset) — so neither f_globals lookups nor
 # f_lineno computations (CPython derives the line from the line table on
@@ -85,31 +93,21 @@ def _frame_module(frame: Any) -> str:
     return module
 
 
-def capture_caller(
-    emitting_module: str,
-    capture_stack: bool,
-    depth: int,
-    skip: int = 1,
-) -> Tuple[Tuple[str, int], Tuple[str, ...]]:
-    """Locate the access site and (optionally) its bounded call string.
-
-    The call string contains system-under-test frames only — substrate
-    dispatch frames (node._enter, the event loop) are as meaningless to a
-    tester as JVM-internal frames were to the paper's tool.  Each entry is
-    ``module.qualname:line``; for caller frames the line is the call site,
-    which is what lets promoted crash points match their call sites.
-    """
-    frame = sys._getframe(skip + 1)
+def _access_site(frame: Any, emitting_module: str) -> Tuple[Any, Tuple[str, int]]:
+    """The first frame outside ``emitting_module``, and its ``(module, lineno)``."""
     while frame is not None and _frame_module(frame) == emitting_module:
         frame = frame.f_back
     if frame is None:  # pragma: no cover - defensive
-        return ("?", 0), ()
+        return None, ("?", 0)
     site = (frame.f_code, frame.f_lasti)
     location = _SITE_CACHE.get(site)
     if location is None:
         location = _SITE_CACHE[site] = (_frame_module(frame), frame.f_lineno)
-    if not capture_stack:
-        return location, ()
+    return frame, location
+
+
+def _call_string(frame: Any, depth: int) -> Tuple[str, ...]:
+    """The bounded call string from the access-site frame outwards."""
     stack: List[str] = []
     f: Any = frame
     while f is not None and len(stack) < depth:
@@ -127,7 +125,25 @@ def capture_caller(
             entry = _STACK_ENTRY_CACHE[site] = f"{module}.{qualname}:{f.f_lineno}"
         stack.append(entry)
         f = f.f_back
-    return location, tuple(stack)
+    return tuple(stack)
+
+
+def capture_caller(
+    emitting_module: str,
+    capture_stack: bool,
+    depth: int,
+    skip: int = 1,
+) -> Tuple[Tuple[str, int], Tuple[str, ...]]:
+    """Locate the access site and (optionally) its bounded call string.
+
+    The call string contains system-under-test frames only — substrate
+    dispatch frames (node._enter, the event loop) are as meaningless to a
+    tester as JVM-internal frames were to the paper's tool.  Each entry is
+    ``module.qualname:line``; for caller frames the line is the call site,
+    which is what lets promoted crash points match their call sites.
+    """
+    frame, location = _access_site(sys._getframe(skip + 1), emitting_module)
+    return location, _call_string(frame, depth) if capture_stack else ()
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +191,61 @@ class AccessEvent:
 
 Hook = Callable[[AccessEvent], None]
 
+#: ``(field_cls, field_name, op)``: one operation on one tracked field
+FieldOp = Tuple[str, str, str]
+
+
+class Interest:
+    """The tracked accesses one bus hook can match.
+
+    Maps each ``(field_cls, field_name, op)`` the hook cares about to the
+    ``(module, lineno)`` access sites it can match there, or to ``None``
+    when the access may sit anywhere (a promoted crash point matches by its
+    caller's call site, which only the call string shows).
+    """
+
+    def __init__(self) -> None:
+        self.sites: Dict[FieldOp, Optional[Set[Tuple[str, int]]]] = {}
+
+    def add(
+        self,
+        field_cls: str,
+        field_name: str,
+        op: str,
+        site: Optional[Tuple[str, int]] = None,
+    ) -> "Interest":
+        """Subscribe to ``op`` on a field, at ``site`` or (``None``) anywhere."""
+        field_op = (field_cls, field_name, op)
+        if site is None:
+            self.sites[field_op] = None
+        else:
+            sites = self.sites.setdefault(field_op, set())
+            if sites is not None:
+                sites.add(site)
+        return self
+
+    def admits(self, key: FieldKey, op: str, location: Tuple[str, int]) -> bool:
+        sites = self.sites.get((key.cls, key.name, op), ())
+        return sites is None or location in sites
+
+
+class Tap:
+    """One tracked field's switch on the bus.
+
+    The field's ``tracked_ref`` descriptor and every container built for
+    it share this object and test ``read``/``write`` at each access; only
+    the bus flips them, whenever its hooks change.  ``sites`` maps each
+    open op to the access sites some hook can match (``None``: any site).
+    """
+
+    __slots__ = ("key", "read", "write", "sites")
+
+    def __init__(self, key: FieldKey) -> None:
+        self.key = key
+        self.read = False
+        self.write = False
+        self.sites: Dict[str, Optional[Set[Tuple[str, int]]]] = {}
+
 
 class AccessBus:
     """Global dispatch point for tracked-state access events."""
@@ -183,28 +254,72 @@ class AccessBus:
     STACK_DEPTH = 5
 
     def __init__(self) -> None:
+        #: any hook installed (bookkeeping; accesses test their own tap)
         self.enabled = False
         self.capture_stacks = False
-        self._hooks: List[Hook] = []
+        self._hooks: List[Tuple[Hook, Optional[Interest]]] = []
+        self._taps: Dict[FieldKey, Tap] = {}
 
-    def add_hook(self, hook: Hook) -> None:
-        self._hooks.append(hook)
-        self.enabled = True
+    def tap(self, key: FieldKey) -> Tap:
+        """The field's one tap, switched for the hooks installed now."""
+        tap = self._taps.get(key)
+        if tap is None:
+            tap = self._taps[key] = Tap(key)
+            self._switch(tap)
+        return tap
+
+    def add_hook(self, hook: Hook, interest: Optional[Interest] = None) -> None:
+        """Run ``hook`` on the accesses ``interest`` admits (``None``: all)."""
+        self._hooks.append((hook, interest))
+        self._retap()
 
     def remove_hook(self, hook: Hook) -> None:
-        self._hooks.remove(hook)
-        if not self._hooks:
-            self.enabled = False
+        for i, (installed, _) in enumerate(self._hooks):
+            if installed == hook:
+                del self._hooks[i]
+                self._retap()
+                return
+        raise ValueError("hook is not installed on the bus")
 
     def reset(self) -> None:
         self._hooks.clear()
-        self.enabled = False
         self.capture_stacks = False
+        self._retap()
+
+    def _retap(self) -> None:
+        self.enabled = bool(self._hooks)
+        for tap in self._taps.values():
+            self._switch(tap)
+
+    def _switch(self, tap: Tap) -> None:
+        """Open each of the tap's ops for the union of the hooks' interests."""
+        sites: Dict[str, Optional[Set[Tuple[str, int]]]] = {}
+        for op in ("read", "write"):
+            field_op = (tap.key.cls, tap.key.name, op)
+            for _, interest in self._hooks:
+                admitted = None if interest is None else interest.sites.get(field_op, ())
+                if admitted is None:  # any site
+                    sites[op] = None
+                    break
+                if admitted:
+                    sites.setdefault(op, set()).update(admitted)
+        tap.sites = sites
+        tap.read = "read" in sites
+        tap.write = "write" in sites
 
     # ------------------------------------------------------------------
-    def emit(self, key: FieldKey, op: str, method: str, values: Iterable[Any]) -> None:
-        """Build an event from the caller's frame and run all hooks."""
-        location, stack = self._caller_info()
+    def emit(self, tap: Tap, op: str, method: str, values: Iterable[Any]) -> None:
+        """Build an event from the caller's frame and run the hooks that admit it.
+
+        Called only through an open tap.  Returns right after locating the
+        access site when no hook can match an access there, before the
+        stack walk, the value stringification and the event.
+        """
+        frame, location = _access_site(sys._getframe(1), _THIS_MODULE)
+        sites = tap.sites.get(op, ())
+        if sites is not None and location not in sites:
+            return
+        key = tap.key
         event = AccessEvent(
             field=key,
             op=op,
@@ -213,14 +328,11 @@ class AccessBus:
             location=location,
             node=runtime.current_node() or "",
             time=runtime.current_time(),
-            stack=stack,
+            stack=_call_string(frame, self.STACK_DEPTH) if self.capture_stacks else (),
         )
-        for hook in list(self._hooks):
-            hook(event)
-
-    def _caller_info(self) -> Tuple[Tuple[str, int], Tuple[str, ...]]:
-        """Locate the access site: first frame outside this module."""
-        return capture_caller(_THIS_MODULE, self.capture_stacks, self.STACK_DEPTH, skip=2)
+        for hook, interest in list(self._hooks):
+            if interest is None or interest.admits(key, op, location):
+                hook(event)
 
 
 #: The process-global bus, mirroring the single instrumentation agent.
@@ -242,43 +354,40 @@ class tracked_ref:
 
     def __init__(self, default: Any = None):
         self._default = default
-        self._key: Optional[FieldKey] = None
+        self._tap: Optional[Tap] = None
         self._attr = ""
 
     def __set_name__(self, owner: type, name: str) -> None:
-        self._key = FieldKey(f"{owner.__module__}.{owner.__qualname__}", name)
+        self._tap = BUS.tap(FieldKey(f"{owner.__module__}.{owner.__qualname__}", name))
         self._attr = f"_tracked_{name}"
 
     def __get__(self, obj: Any, objtype: Optional[type] = None) -> Any:
         if obj is None:
             return self
-        if BUS.enabled:
-            current = getattr(obj, self._attr, self._default)
-            BUS.emit(self._key, "read", "getfield", (current,))
+        tap = self._tap
+        if tap.read:
+            BUS.emit(tap, "read", "getfield", (getattr(obj, self._attr, self._default),))
         return getattr(obj, self._attr, self._default)
 
     def __set__(self, obj: Any, value: Any) -> None:
         setattr(obj, self._attr, value)
-        if BUS.enabled:
-            BUS.emit(self._key, "write", "putfield", (value,))
+        tap = self._tap
+        if tap.write:
+            BUS.emit(tap, "write", "putfield", (value,))
 
 
 # ---------------------------------------------------------------------------
 # tracked collections (Table 3 operations)
 # ---------------------------------------------------------------------------
 class _TrackedCollection:
-    """Shared machinery: every container knows its field identity."""
+    """Shared machinery: every container holds its field's tap.
+
+    Each operation tests the tap itself and builds its emit arguments only
+    while the tap is open.
+    """
 
     def __init__(self, key: FieldKey):
-        self._key = key
-
-    def _read(self, method: str, *values: Any) -> None:
-        if BUS.enabled:
-            BUS.emit(self._key, "read", method, values)
-
-    def _write(self, method: str, *values: Any) -> None:
-        if BUS.enabled:
-            BUS.emit(self._key, "write", method, values)
+        self._tap = BUS.tap(key)
 
 
 class TrackedDict(_TrackedCollection):
@@ -297,36 +406,43 @@ class TrackedDict(_TrackedCollection):
     def get(self, k: Any, default: Any = None) -> Any:
         # Emit first with the *current* mapping; re-read after hooks so a
         # hook-triggered recovery (removal/reset) is visible to the caller.
-        self._read("get", k, self._data.get(k))
+        if self._tap.read:
+            BUS.emit(self._tap, "read", "get", (k, self._data.get(k)))
         return self._data.get(k, default)
 
     def contains(self, k: Any) -> bool:
-        self._read("contains", k)
+        if self._tap.read:
+            BUS.emit(self._tap, "read", "contains", (k,))
         return k in self._data
 
     def values(self) -> List[Any]:
-        self._read("values")
+        if self._tap.read:
+            BUS.emit(self._tap, "read", "values", ())
         return list(self._data.values())
 
     def is_empty(self) -> bool:
-        self._read("is_empty")
+        if self._tap.read:
+            BUS.emit(self._tap, "read", "is_empty", ())
         return not self._data
 
     # writes --------------------------------------------------------------
     def put(self, k: Any, v: Any) -> Any:
         old = self._data.get(k)
         self._data[k] = v
-        self._write("put", k, v)
+        if self._tap.write:
+            BUS.emit(self._tap, "write", "put", (k, v))
         return old
 
     def remove(self, k: Any) -> Any:
         old = self._data.pop(k, None)
-        self._write("remove", k)
+        if self._tap.write:
+            BUS.emit(self._tap, "write", "remove", (k,))
         return old
 
     def clear(self) -> None:
         self._data.clear()
-        self._write("clear")
+        if self._tap.write:
+            BUS.emit(self._tap, "write", "clear", ())
 
     # untracked helpers (no Table 3 keyword → no access point) -------------
     def size(self) -> int:
@@ -349,29 +465,35 @@ class TrackedSet(_TrackedCollection):
 
     def add(self, v: Any) -> None:
         self._data.add(v)
-        self._write("add", v)
+        if self._tap.write:
+            BUS.emit(self._tap, "write", "add", (v,))
 
     def remove(self, v: Any) -> bool:
         present = v in self._data
         self._data.discard(v)
-        self._write("remove", v)
+        if self._tap.write:
+            BUS.emit(self._tap, "write", "remove", (v,))
         return present
 
     def contains(self, v: Any) -> bool:
-        self._read("contains", v)
+        if self._tap.read:
+            BUS.emit(self._tap, "read", "contains", (v,))
         return v in self._data
 
     def values(self) -> List[Any]:
-        self._read("values")
+        if self._tap.read:
+            BUS.emit(self._tap, "read", "values", ())
         return list(self._data)
 
     def is_empty(self) -> bool:
-        self._read("is_empty")
+        if self._tap.read:
+            BUS.emit(self._tap, "read", "is_empty", ())
         return not self._data
 
     def clear(self) -> None:
         self._data.clear()
-        self._write("clear")
+        if self._tap.write:
+            BUS.emit(self._tap, "write", "clear", ())
 
     def size(self) -> int:
         return len(self._data)
@@ -392,37 +514,44 @@ class TrackedList(_TrackedCollection):
 
     def add(self, v: Any) -> None:
         self._data.append(v)
-        self._write("add", v)
+        if self._tap.write:
+            BUS.emit(self._tap, "write", "add", (v,))
 
     def remove(self, v: Any) -> bool:
         try:
             self._data.remove(v)
+            removed = True
         except ValueError:
-            self._write("remove", v)
-            return False
-        self._write("remove", v)
-        return True
+            removed = False
+        if self._tap.write:
+            BUS.emit(self._tap, "write", "remove", (v,))
+        return removed
 
     def get(self, index: int) -> Any:
-        value = self._data[index] if 0 <= index < len(self._data) else None
-        self._read("get", value)
+        if self._tap.read:
+            value = self._data[index] if 0 <= index < len(self._data) else None
+            BUS.emit(self._tap, "read", "get", (value,))
         return self._data[index]
 
     def contains(self, v: Any) -> bool:
-        self._read("contains", v)
+        if self._tap.read:
+            BUS.emit(self._tap, "read", "contains", (v,))
         return v in self._data
 
     def values(self) -> List[Any]:
-        self._read("values")
+        if self._tap.read:
+            BUS.emit(self._tap, "read", "values", ())
         return list(self._data)
 
     def is_empty(self) -> bool:
-        self._read("is_empty")
+        if self._tap.read:
+            BUS.emit(self._tap, "read", "is_empty", ())
         return not self._data
 
     def clear(self) -> None:
         self._data.clear()
-        self._write("clear")
+        if self._tap.write:
+            BUS.emit(self._tap, "write", "clear", ())
 
     def size(self) -> int:
         return len(self._data)
@@ -484,6 +613,8 @@ __all__ = [
     "AccessEvent",
     "BUS",
     "FieldKey",
+    "Interest",
+    "Tap",
     "TrackedDict",
     "TrackedList",
     "TrackedSet",

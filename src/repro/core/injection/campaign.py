@@ -401,6 +401,7 @@ def run_one_injection(
         cfg.random_fallback, deadline=None,
     )
     verdict = evaluate_run(report, baseline)
+    rerun: Optional[RunReport] = None
     if verdict.hang and cfg.classify_timeouts and trigger.fired:
         extended = system.base_runtime() * extended_factor * max(1, dpoint.scale)
         rerun, trigger2, _ = _drive(
@@ -413,7 +414,8 @@ def run_one_injection(
             verdict.hang = False
             report = rerun
     matched = matcher(report, verdict) if (matcher and verdict.flagged) else []
-    diagnosis = _diagnose(system, dpoint, trigger, center, verdict, matched, report)
+    diagnosis = _diagnose(system, dpoint, trigger, center, verdict, matched,
+                          report, rerun)
     obs = get_obs()
     if obs.enabled:
         obs.diagnoses.append(diagnosis)
@@ -437,6 +439,7 @@ def _diagnose(
     verdict: OracleVerdict,
     matched: List[str],
     report: RunReport,
+    rerun: Optional[RunReport] = None,
 ) -> InjectionDiagnosis:
     """Assemble the per-injection diagnosis record from the run's actors."""
     injection = center.injection
@@ -464,10 +467,14 @@ def _diagnose(
         matched_bugs=list(matched),
         uncommon_templates=list(verdict.uncommon_templates),
         duration=report.duration,
-        events_processed=(
-            report.cluster.loop.events_processed if report.cluster is not None else 0
-        ),
+        events_processed=_events(report),
+        rerun_duration=rerun.duration if rerun is not None else 0.0,
+        rerun_events=_events(rerun) if rerun is not None else 0,
     )
+
+
+def _events(report: RunReport) -> int:
+    return report.cluster.loop.events_processed if report.cluster is not None else 0
 
 
 def _drive(

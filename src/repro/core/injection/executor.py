@@ -550,6 +550,8 @@ def _propagate_outcome(
             scale=dpoint.scale,
             point_class=class_id,
             propagated=True,
+            rerun_duration=0.0,
+            rerun_events=0,
         )
     return clone
 

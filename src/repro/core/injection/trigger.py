@@ -14,7 +14,7 @@ from typing import List, Optional
 
 from repro.cluster.state import BUS, AccessEvent
 from repro.core.injection.control_center import ControlCenter
-from repro.core.profiler import DynamicCrashPoint
+from repro.core.profiler import DynamicCrashPoint, PointIndex
 
 
 def point_matches(dpoint: DynamicCrashPoint, event: AccessEvent) -> bool:
@@ -54,8 +54,9 @@ class Trigger:
 
     # ------------------------------------------------------------------
     def install(self) -> None:
+        """Subscribe to the one point: only its field, op and site open taps."""
         BUS.capture_stacks = True
-        BUS.add_hook(self._hook)
+        BUS.add_hook(self._hook, PointIndex([self.dpoint.point]).interest)
         self._installed = True
 
     def uninstall(self) -> None:

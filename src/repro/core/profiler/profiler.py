@@ -6,7 +6,7 @@ import time as _wallclock
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.cluster.state import BUS, AccessEvent
+from repro.cluster.state import BUS, AccessEvent, Interest
 from repro.core.analysis import AnalysisReport
 from repro.core.analysis.static_points import AccessPoint
 from repro.systems.base import SystemUnderTest, run_workload
@@ -63,17 +63,25 @@ class PointIndex:
     Direct points match on (module, lineno, op, field).  Promoted points
     match when the event's *caller* frame is exactly the promoted call
     site (``module.Class.method:line``).
+
+    ``interest`` is the bus subscription covering every event :meth:`match`
+    can accept: each point's (field, op) at its own access site, or at any
+    site for a promoted point, whose access sits inside the callee.
     """
 
     def __init__(self, points: List[AccessPoint]):
         self._direct: Dict[Tuple[str, int, str], List[AccessPoint]] = {}
         self._promoted: Dict[str, List[AccessPoint]] = {}
+        self.interest = Interest()
         for point in points:
             if point.promoted:
                 caller = f"{point.module}.{point.enclosing}:{point.lineno}"
                 self._promoted.setdefault(caller, []).append(point)
+                self.interest.add(point.field_cls, point.field_name, point.op)
             else:
                 self._direct.setdefault((point.module, point.lineno, point.op), []).append(point)
+                self.interest.add(point.field_cls, point.field_name, point.op,
+                                  point.location)
 
     def match(self, event: AccessEvent) -> Optional[AccessPoint]:
         for point in self._direct.get((event.location[0], event.location[1], event.op), ()):
@@ -194,7 +202,7 @@ def profile_system(
             )
 
         BUS.capture_stacks = True
-        BUS.add_hook(hook)
+        BUS.add_hook(hook, index.interest)
         try:
             run_workload(system, seed=seed, config=config, scale=scale,
                          keep_cluster=False, before_run=before_run)

@@ -57,6 +57,11 @@ class InjectionDiagnosis:
     # run accounting (simulated time + event count pin determinism)
     duration: float = 0.0
     events_processed: int = 0
+    #: the hang-reclassification rerun, when one ran (0 otherwise): a true
+    #: hang keeps the first drive's numbers above, so only these show
+    #: what the rerun cost
+    rerun_duration: float = 0.0
+    rerun_events: int = 0
     #: representative-point execution (see repro.core.injection.classes):
     #: the equivalence class this point belongs to, and whether this
     #: diagnosis was propagated from the class representative's run

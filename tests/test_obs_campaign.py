@@ -8,7 +8,12 @@ resolution, action taken, and oracle verdict.
 
 from repro.bugs import matcher_for_system
 from repro.core.injection import CampaignConfig, run_campaign
-from repro.obs import Observability, read_trace_jsonl, write_trace_jsonl
+from repro.obs import (
+    InjectionDiagnosis,
+    Observability,
+    read_trace_jsonl,
+    write_trace_jsonl,
+)
 from repro.obs.report import main as report_main
 from tests.conftest import prepared
 
@@ -89,6 +94,40 @@ def test_campaign_trace_spans_cover_workload_rpc_recovery_injection():
     injections = obs.tracer.named("injection")
     assert injections
     assert all(has_workload_ancestor(s) for s in injections)
+
+
+COMMIT_ATTEMPTS = ("write MRAppMaster.commit_attempts via put at "
+                   "repro.systems.yarn.appmaster:206")
+
+
+def test_hang_diagnosis_reports_the_rerun():
+    """A true hang keeps the first drive's numbers and adds the rerun's."""
+    obs, result = traced_yarn_campaign()
+    by_point = {d.point: d for d in result.diagnoses()}
+    hang = by_point[COMMIT_ATTEMPTS]
+    assert "hang" in hang.verdict_kinds
+    # the first drive, unchanged (the analytics featurizer buckets these)
+    assert (hang.duration, hang.events_processed) == (32.0, 1089)
+    # the rerun under the extended deadline, which cost the wall
+    assert (hang.rerun_duration, hang.rerun_events) == (3200.0, 111307)
+    timeout = by_point["write MRTask.success_attempt via putfield at "
+                       "repro.systems.yarn.appmaster:229"]
+    assert "timeout" in timeout.verdict_kinds
+    # a completed rerun is the reported run: both pairs show it
+    assert (timeout.rerun_duration, timeout.rerun_events) == (
+        timeout.duration, timeout.events_processed)
+    for diagnosis in result.diagnoses():
+        if not {"hang", "timeout"} & set(diagnosis.verdict_kinds):
+            assert (diagnosis.rerun_duration, diagnosis.rerun_events) == (0.0, 0)
+
+
+def test_diagnosis_without_rerun_fields_still_loads():
+    _, result = traced_yarn_campaign()
+    data = next(d for d in result.diagnoses() if d.point == COMMIT_ATTEMPTS).to_dict()
+    del data["rerun_duration"], data["rerun_events"]
+    old = InjectionDiagnosis.from_dict(data)
+    assert (old.rerun_duration, old.rerun_events) == (0.0, 0)
+    assert old.events_processed == 1089
 
 
 def test_resolution_fields_distinguish_store_hits_from_fallback():

@@ -147,6 +147,18 @@ def test_propagated_outcomes_carry_own_identity():
         # ...and no cost of its own
         assert outcome.wall_seconds == 0.0
         assert outcome.duration == 0.0
+        assert outcome.diagnosis.rerun_duration == 0.0
+        assert outcome.diagnosis.rerun_events == 0
+
+
+def test_propagated_diagnosis_drops_the_representatives_rerun():
+    full, _, _ = _both_modes("yarn")
+    _, _, profile, _ = prepared("yarn")
+    hang = next(o for o in full.outcomes if o.diagnosis.rerun_events)
+    member = next(d for d in profile.dynamic_points if d is not hang.dpoint)
+    clone = executor_mod._propagate_outcome(hang, member, "cls")
+    assert clone.diagnosis.verdict_kinds == hang.diagnosis.verdict_kinds
+    assert (clone.diagnosis.rerun_duration, clone.diagnosis.rerun_events) == (0.0, 0)
 
 
 def test_full_mode_dicts_unchanged_by_new_fields():

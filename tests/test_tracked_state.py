@@ -7,13 +7,16 @@ import pytest
 from repro.cluster import (
     BUS,
     Cluster,
+    FieldKey,
     Node,
+    TrackedDict,
     tracked_dict,
     tracked_list,
     tracked_ref,
     tracked_set,
 )
 from repro.cluster.ids import NodeId
+from repro.cluster.state import Interest
 
 
 class Holder:
@@ -302,3 +305,142 @@ def test_node_attribution_inside_cluster():
         c.run()
     writers = [e.node for e in events if e.method == "put"]
     assert writers == ["b"]
+
+
+# ---------------------------------------------------------------------------
+# taps: hooks subscribe to what they can match
+# ---------------------------------------------------------------------------
+HOLDER = f"{Holder.__module__}.{Holder.__qualname__}"
+
+
+def _tap_state(name, owner=HOLDER):
+    tap = BUS.tap(FieldKey(owner, name))
+    return tap.read, tap.write
+
+
+def test_hook_with_interest_sees_only_its_fields_and_sites():
+    h = Holder()
+    h.peers.put("k", "v")
+
+    def write_name(value):
+        h.name = value
+
+    site = (__name__, write_name.__code__.co_firstlineno + 1)
+    seen = []
+    BUS.add_hook(seen.append, Interest()
+                 .add(HOLDER, "name", "write", site)
+                 .add(HOLDER, "peers", "read"))
+    assert _tap_state("name") == (False, True)
+    assert _tap_state("peers") == (True, False)
+    assert _tap_state("tags") == (False, False)
+    write_name("subscribed site")
+    h.name = "same field and op, another site"
+    assert h.name == "same field and op, another site"  # read: not subscribed
+    h.peers.put("k", "w")  # write: not subscribed
+    h.peers.get("k")  # reads match at any site
+    h.tags.add("t")
+    assert [(e.field.name, e.op, e.method) for e in seen] == [
+        ("name", "write", "putfield"), ("peers", "read", "get")]
+    assert seen[0].location == site
+    # a wildcard hook opens everything, but each hook still gets only
+    # what its own interest admits
+    everything = capture()
+    h.name = "other site"
+    write_name("subscribed site")
+    assert len(seen) == 3 and seen[-1].location == site
+    assert [e.field.name for e in everything] == ["name", "name"]
+
+
+def test_two_hooks_get_the_union_and_removing_one_restores_the_other():
+    first, second = [], []
+    BUS.add_hook(first.append, Interest().add(HOLDER, "name", "write", ("m", 1)))
+    BUS.add_hook(second.append, Interest()
+                 .add(HOLDER, "name", "write", ("m", 2))
+                 .add(HOLDER, "peers", "read"))
+    name = BUS.tap(FieldKey(HOLDER, "name"))
+    assert name.sites == {"write": {("m", 1), ("m", 2)}}
+    assert _tap_state("peers") == (True, False)
+    BUS.remove_hook(second.append)
+    assert name.sites == {"write": {("m", 1)}}
+    assert _tap_state("peers") == (False, False)
+    # an any-site subscription absorbs the other hook's site set
+    BUS.add_hook(second.append, Interest().add(HOLDER, "name", "write"))
+    assert name.sites == {"write": None}
+    BUS.remove_hook(second.append)
+    assert name.sites == {"write": {("m", 1)}}
+    BUS.remove_hook(first.append)
+    assert _tap_state("name") == (False, False) and name.sites == {}
+    assert not BUS.enabled
+
+
+def test_wildcard_hook_opens_every_tap_and_reset_closes_them():
+    Holder().peers.put("k", "v")
+    BUS.add_hook(lambda event: None)
+    taps = list(BUS._taps.values())
+    assert len(taps) >= 4
+    assert all(tap.read and tap.write for tap in taps)
+    assert all(tap.sites == {"read": None, "write": None} for tap in taps)
+    BUS.reset()
+    assert not any(tap.read or tap.write or tap.sites for tap in taps)
+    assert not BUS.enabled
+
+
+def test_class_declared_while_armed_gets_its_tap_state():
+    owner = f"{__name__}.test_class_declared_while_armed_gets_its_tap_state.<locals>.Late"
+    seen = []
+    BUS.add_hook(seen.append, Interest().add(owner, "ref", "read"))
+
+    class Late:
+        ref = tracked_ref("initial")
+        other = tracked_dict()
+
+    assert _tap_state("ref", owner) == (True, False)
+    assert _tap_state("other", owner) == (False, False)
+    late = Late()
+    assert late.ref == "initial"
+    late.ref = "written"
+    late.other.put("k", "v")
+    assert [(e.field.name, e.op, e.values) for e in seen] == [("ref", "read", ("initial",))]
+
+
+def test_container_built_while_armed_gets_its_tap_state():
+    key = FieldKey(f"{__name__}.Unseen", "data")
+    seen = []
+    BUS.add_hook(seen.append, Interest().add(key.cls, key.name, "write"))
+    fresh = TrackedDict(key)
+    fresh.put("k", "v")
+    assert fresh.get("k") == "v"
+    assert [(e.op, e.method) for e in seen] == [("write", "put")]
+    BUS.reset()
+    fresh.put("k", "w")
+    assert len(seen) == 1
+
+
+class _CountingDict(dict):
+    gets = 0
+
+    def get(self, *args):
+        _CountingDict.gets += 1
+        return super().get(*args)
+
+
+def test_no_hook_means_no_emit_and_no_emit_arguments(monkeypatch):
+    h = Holder()
+    calls = []
+    monkeypatch.setattr(BUS, "emit", lambda *args: calls.append(args))
+    h.peers._data = _CountingDict()
+    _CountingDict.gets = 0
+    h.peers.put("k", "v")
+    assert h.peers.get("k") == "v"
+    h.name = "x"
+    assert h.name == "x"
+    assert calls == []
+    # put reads the old value once; get reads once for its caller and
+    # never for an emit that is not going to happen
+    assert _CountingDict.gets == 2
+    # positive control: an armed hook does reach emit, with the mapping
+    BUS.add_hook(lambda event: None)
+    h.peers.get("k")
+    assert _CountingDict.gets == 4
+    assert [args[1:3] for args in calls] == [("read", "get")]
+    assert calls[0][3] == ("k", "v")

@@ -1,21 +1,24 @@
 """The trigger's access-bus lifecycle: one point, one fire, then off the bus.
 
 A :class:`~repro.core.injection.trigger.Trigger` arms one dynamic crash
-point, and each point fires at most once per run.  Right after it fires,
-the trigger takes its hook off the global bus, so the rest of the run pays
-no frame walk or stack capture per tracked access.  ``uninstall()`` stays
-the public teardown, called once per run by the campaign driver, and is a
-no-op when the hook is already off.
+point, and each point fires at most once per run.  While armed, its hook
+subscribes to that point alone, so only the point's field tap is open.
+Right after it fires, the trigger takes its hook off the global bus, every
+tap closes, and the rest of the run pays nothing per tracked access.
+``uninstall()`` stays the public teardown, called once per run by the
+campaign driver, and is a no-op when the hook is already off.
 
-The old behaviour (the hook stays on for the whole run) lives on only as a
-reference here: a no-op hook installed alongside the trigger keeps the bus
-enabled and capturing after the fire, and outcomes must not change.
+The unfiltered behaviour (every access reaches the hooks for the whole
+run) lives on only as a reference here: with the trigger's subscription
+dropped and a no-op wildcard hook installed alongside it, every tap stays
+open and the bus keeps capturing after the fire, and outcomes must not
+change.
 """
 
 import pytest
 
 from repro.bugs import matcher_for_system
-from repro.cluster.state import BUS
+from repro.cluster.state import BUS, AccessBus
 from repro.core.injection import CampaignConfig, run_one_injection
 from repro.core.injection.trigger import Trigger
 from tests.conftest import find_dpoints, prepared
@@ -44,20 +47,29 @@ def _commit_attempts_post_write():
     return dpoints[0]
 
 
+def _open_taps():
+    return {(tap.key.cls, tap.key.name, op)
+            for tap in BUS._taps.values() for op in ("read", "write")
+            if getattr(tap, op)}
+
+
 def test_fired_trigger_is_off_the_bus_for_the_rest_of_the_run(monkeypatch):
     seen = {}
     fire = Trigger.fire
     uninstall = Trigger.uninstall
 
     def observed_fire(trigger, event):
+        # while armed, the trigger's one point is the only open tap
+        seen["armed_taps"] = _open_taps()
         fire(trigger, event)
         loop = trigger.center.cluster.loop
 
         def after_fire():
             # the first event the outer loop dispatches after the firing
-            # access returned: the hook must already be gone
+            # access returned: the hook must already be gone, every tap shut
             seen.setdefault("after_fire", (
-                trigger._hook in BUS._hooks, BUS.enabled, BUS.capture_stacks))
+                any(hook == trigger._hook for hook, _ in BUS._hooks),
+                BUS.enabled, BUS.capture_stacks, _open_taps()))
 
         loop.schedule(0.0, after_fire)
 
@@ -74,7 +86,9 @@ def test_fired_trigger_is_off_the_bus_for_the_rest_of_the_run(monkeypatch):
     monkeypatch.setattr(Trigger, "uninstall", observed_uninstall)
     outcome = _run("yarn", _commit_attempts_post_write())
     assert outcome.fired
-    assert seen["after_fire"] == (False, False, False)
+    point = _commit_attempts_post_write().point
+    assert seen["armed_taps"] == {(point.field_cls, point.field_name, point.op)}
+    assert seen["after_fire"] == (False, False, False, set())
     # the campaign driver still calls the public teardown once per drive:
     # the first drive plus its hang-reclassification rerun
     assert "hang" in outcome.verdict.kinds() or outcome.verdict.timeout_issue
@@ -83,8 +97,16 @@ def test_fired_trigger_is_off_the_bus_for_the_rest_of_the_run(monkeypatch):
 
 
 def _with_reference_hook(monkeypatch):
-    """Keep the bus enabled and capturing after fire, as before the change."""
+    """Every access reaches every hook, armed or fired, as before taps.
+
+    A no-op wildcard hook keeps every tap open and the bus capturing after
+    the fire, and the trigger's own subscription is dropped, so its hook
+    sees every access until it fires.
+    """
     install, uninstall = Trigger.install, Trigger.uninstall
+    add_hook = AccessBus.add_hook
+    monkeypatch.setattr(AccessBus, "add_hook",
+                        lambda bus, hook, interest=None: add_hook(bus, hook))
     hooks = {}
     emits = {"after_fire": 0}
 
